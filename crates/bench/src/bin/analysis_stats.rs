@@ -59,7 +59,7 @@ fn json_stats(s: &StatsSnapshot) -> String {
     let _ = write!(
         o,
         "{{\"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, \
-         \"sys_empty\": [{}, {}], \"subset\": [{}, {}], \"subtract\": [{}, {}], \
+         \"sys_empty\": {{\"hits\": {}, \"misses\": {}, \"cell_hits\": {}}}, \"subset\": [{}, {}], \"subtract\": [{}, {}], \
          \"intersect\": [{}, {}], \"union\": [{}, {}], \"project\": [{}, {}], \
          \"implies\": [{}, {}], \
          \"tiers\": {{\"sys_empty\": [{}, {}], \"subset\": [{}, {}], \
@@ -73,6 +73,7 @@ fn json_stats(s: &StatsSnapshot) -> String {
         s.total_queries() - s.total_hits(),
         s.sys_empty.hits,
         s.sys_empty.misses,
+        s.sys_empty.cell_hits,
         s.subset.hits,
         s.subset.misses,
         s.subtract.hits,
@@ -300,7 +301,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema_version\": 3,\n");
+    json.push_str("  \"schema_version\": 4,\n");
     let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(json, "  \"host\": \"{}\",", host_info());
     let _ = writeln!(json, "  \"jobs\": {jobs},");
@@ -416,14 +417,16 @@ fn main() {
 
     // Human-readable recap on stdout.
     for c in &costs {
+        let e = c.stats.sys_empty;
         println!(
             "{:<12} {:>7.2} ms (jobs=1) {:>7.2} ms (jobs={jobs})  speedup {:>5.2}x  \
-             hit rate {:>5.1}%  dense {:>5.1}%  [{} loops, {} procs]",
+             hit rate {:>5.1}%  cell {:>5.1}%  dense {:>5.1}%  [{} loops, {} procs]",
             c.name,
             c.wall_ms_jobs1,
             c.wall_ms_jobs_n,
             c.speedup_jobs(),
             c.stats.hit_rate() * 100.0,
+            e.cell_hits as f64 / (e.cell_hits + e.total()).max(1) as f64 * 100.0,
             c.stats.tier_hit_rate() * 100.0,
             c.loops,
             c.procedures,

@@ -14,9 +14,10 @@
 //! Counter *values* split into two classes: per-kind query totals
 //! (`query.<kind>.total`), `budget.steps`, interner sizes, and peak
 //! table entries are bit-identical for any `--jobs`; the hit/miss split
-//! (`memo.<kind>.hits`/`.misses`) and `fm.projections` are not, because
-//! two workers may benignly race to compute the same memo entry (both
-//! count a miss). Latency histograms are inherently timing-dependent.
+//! (`memo.<kind>.hits`/`.misses`, `memo.sys_empty.cell.hits`) and
+//! `fm.projections` are not, because two workers may benignly race to
+//! compute the same memo entry (both count a miss) or to fill the same
+//! verdict cell (both look the memo up). Latency histograms are inherently timing-dependent.
 //! Tests that assert cross-jobs determinism must compare only the first
 //! class — [`MetricsRegistry::deterministic_counters`] selects it.
 

@@ -10,9 +10,13 @@
 //! an [`AnalysisSession`] interns operands into `Arc` handles with
 //! stable `u32` ids and memoizes each query on those ids.
 //!
-//! The interners and memo tables are lock-striped ([`crate::shard`]):
-//! the hot `sys_empty` path is ~90% of all queries, and with one global
-//! mutex per table every worker serialized on it.
+//! Emptiness checks are 83–98% of all lattice queries per corpus
+//! program. Most re-check a `System` object the session already asked
+//! about, so [`AnalysisSession::sys_is_empty`] answers those from a
+//! verdict cell on the object itself; the rest (about half of all memo
+//! lookups) reach the `sys_empty` table. The interners and memo tables
+//! are lock-striped ([`crate::shard`]) so concurrent workers do not
+//! serialize on one mutex per table.
 //!
 //! ## Determinism
 //!
@@ -69,18 +73,25 @@ const LAT_POOL: u32 = 256;
 /// representation tier that answered it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
+    /// Memo lookups that found an entry.
     pub hits: u64,
+    /// Memo lookups that computed (or loaded from the store) an entry.
     pub misses: u64,
+    /// `sys_empty` checks answered from the verdict cell on the
+    /// queried `System` object, before any memo lookup (always 0 for
+    /// the other kinds). Not part of [`QueryStats::total`].
+    pub cell_hits: u64,
     /// Queries answered by the dense fast tier
-    /// ([`padfa_omega::Tier::Dense`]). Memo and store hits replay the
-    /// tier recorded by the original computation, so the split covers
-    /// every query, not just misses.
+    /// ([`padfa_omega::Tier::Dense`]). Cell, memo and store hits replay
+    /// the tier recorded by the original computation, so the split
+    /// covers every query, not just misses.
     pub dense: u64,
     /// Queries answered by the general Fourier–Motzkin representation.
     pub general: u64,
 }
 
 impl QueryStats {
+    /// Memo lookups (`hits + misses`).
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
@@ -218,6 +229,9 @@ impl std::fmt::Display for StatsSnapshot {
                     q.misses,
                     100.0 * q.hit_rate()
                 )?;
+                if q.cell_hits > 0 {
+                    write!(f, " + {} cell hits", q.cell_hits)?;
+                }
                 if q.dense > 0 {
                     write!(
                         f,
@@ -321,6 +335,9 @@ impl std::fmt::Display for StatsSnapshot {
 /// boundaries in the parallel driver.
 pub struct AnalysisSession {
     pub opts: Options,
+    /// This session's nonzero owner tag for the emptiness verdict
+    /// cells on `System` objects (see [`AnalysisSession::sys_is_empty`]).
+    owner: u64,
     jobs: usize,
     /// Spawnable-worker tokens for the intra-procedure fan-out
     /// ([`crate::pool::par_map`]); `jobs - 1` exist session-wide.
@@ -342,6 +359,8 @@ pub struct AnalysisSession {
     /// the workload does.
     tier_dense: [AtomicU64; 7],
     tier_general: [AtomicU64; 7],
+    /// `sys_empty` checks answered from a verdict cell.
+    cell_hits: AtomicU64,
     fm_projections: AtomicU64,
     lat_overflow: AtomicU64,
     lat_pools: Mutex<HashMap<String, u32>>,
@@ -391,8 +410,11 @@ impl AnalysisSession {
             );
         }
         let sched = crate::sched::Scheduler::new(opts.spawn_threshold);
+        // Process-wide, so no two sessions ever share an owner tag.
+        static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
         AnalysisSession {
             opts,
+            owner: NEXT_OWNER.fetch_add(1, Ordering::Relaxed),
             jobs: 1,
             tokens: WorkerTokens::new(1),
             systems: Interner::new(),
@@ -407,6 +429,7 @@ impl AnalysisSession {
             m_implies: Memo::new(),
             tier_dense: std::array::from_fn(|_| AtomicU64::new(0)),
             tier_general: std::array::from_fn(|_| AtomicU64::new(0)),
+            cell_hits: AtomicU64::new(0),
             fm_projections: AtomicU64::new(0),
             lat_overflow: AtomicU64::new(0),
             lat_pools: Mutex::new(HashMap::new()),
@@ -555,12 +578,18 @@ impl AnalysisSession {
         self
     }
 
-    /// Start one query probe: counts the op toward the trace lattice
-    /// batch and, when metrics are attached, starts a latency sample.
+    /// Count one op toward the trace and flight lattice batches.
     #[inline]
-    fn probe(&self, kind: QueryKind) -> Option<Instant> {
+    fn note_op(&self, kind: QueryKind) {
         trace::note_lattice_op(kind.name());
         crate::flight::note_lattice_op();
+    }
+
+    /// Start one query probe: counts the op (see [`Self::note_op`])
+    /// and, when metrics are attached, starts a latency sample.
+    #[inline]
+    fn probe(&self, kind: QueryKind) -> Option<Instant> {
+        self.note_op(kind);
         self.metrics.as_ref().map(|_| Instant::now())
     }
 
@@ -586,6 +615,12 @@ impl AnalysisSession {
     }
 
     /// Memoized per-system emptiness.
+    ///
+    /// The verdict is also cached on `s` itself, tagged with this
+    /// session, so re-checking the same object (the normalize passes do
+    /// this after every seq/merge step) skips interning and the memo.
+    /// The budget step, the lattice-op count and the tier are still
+    /// counted, exactly as for a memo hit.
     pub fn sys_is_empty(&self, s: &System) -> bool {
         // Fast paths that need no table round-trip.
         if s.is_contradiction() {
@@ -595,6 +630,12 @@ impl AnalysisSession {
             return false;
         }
         budget::charge(1);
+        if let Some((empty, tier)) = s.cached_verdict(self.owner) {
+            self.note_op(QueryKind::SysEmpty);
+            self.cell_hits.fetch_add(1, Ordering::Relaxed);
+            self.note_tier(QueryKind::SysEmpty, tier);
+            return empty;
+        }
         let t0 = self.probe(QueryKind::SysEmpty);
         let limits = self.limits();
         let (arc, id) = self.systems.intern(s);
@@ -615,6 +656,7 @@ impl AnalysisSession {
                 },
             )
         });
+        s.cache_verdict(self.owner, r.1, r.0);
         self.note_tier(QueryKind::SysEmpty, r.1);
         self.observe(QueryKind::SysEmpty, t0);
         r.0
@@ -908,7 +950,10 @@ impl AnalysisSession {
             ..q
         };
         StatsSnapshot {
-            sys_empty: tiered(self.m_sys_empty.counters(), QueryKind::SysEmpty),
+            sys_empty: QueryStats {
+                cell_hits: self.cell_hits.load(Ordering::Relaxed),
+                ..tiered(self.m_sys_empty.counters(), QueryKind::SysEmpty)
+            },
             subset: tiered(self.m_subset.counters(), QueryKind::Subset),
             subtract: tiered(self.m_subtract.counters(), QueryKind::Subtract),
             intersect: tiered(self.m_intersect.counters(), QueryKind::Intersect),
@@ -934,7 +979,8 @@ impl AnalysisSession {
 
     /// Fold the final [`StatsSnapshot`] into the attached metrics
     /// registry (no-op without one). Counter names follow
-    /// `memo.<kind>.hits|misses`, `query.<kind>.total`, plus structural
+    /// `memo.<kind>.hits|misses`, `memo.sys_empty.cell.hits`,
+    /// `query.<kind>.total`, plus structural
     /// and budget counters; see [`crate::metrics`] for which of them are
     /// jobs-deterministic.
     pub fn publish_metrics(&self) {
@@ -954,8 +1000,14 @@ impl AnalysisSession {
             reg.counter(&format!("memo.{}.hits", k.name())).set(q.hits);
             reg.counter(&format!("memo.{}.misses", k.name()))
                 .set(q.misses);
+            // Every query, whichever of cell and memo answered it: two
+            // workers may both miss a cell and look the memo up, so
+            // only the sum is jobs-deterministic.
             reg.counter(&format!("query.{}.total", k.name()))
-                .set(q.total());
+                .set(q.cell_hits + q.total());
+            if k == QueryKind::SysEmpty {
+                reg.counter("memo.sys_empty.cell.hits").set(q.cell_hits);
+            }
             // `tier.*` counters are jobs-racy (which of two equal
             // systems wins the intern race decides whose dense cache
             // answers), so `deterministic_counters` filters the prefix.
@@ -1098,6 +1150,69 @@ mod tests {
         assert_eq!(a1, Var::new("$lat.p.1"));
         assert_eq!(b0, Var::new("$lat.q.0"));
         assert_eq!(sess.stats().lat_overflow, 0);
+    }
+
+    fn box_system() -> System {
+        interval("d", 1, 10).systems()[0].clone()
+    }
+
+    #[test]
+    fn repeated_checks_on_one_object_are_served_from_the_cell() {
+        let sess = AnalysisSession::new(Options::predicated());
+        let s = box_system();
+        for _ in 0..3 {
+            assert!(!sess.sys_is_empty(&s));
+        }
+        // An equal system in another object still needs the memo.
+        assert!(!sess.sys_is_empty(&box_system()));
+        let q = sess.stats().sys_empty;
+        assert_eq!((q.cell_hits, q.hits, q.misses), (2, 1, 1));
+        assert_eq!(q.dense + q.general, 4, "cell hits replay the tier");
+    }
+
+    #[test]
+    fn sessions_sharing_an_object_keep_their_own_verdicts() {
+        let a = AnalysisSession::new(Options::predicated());
+        let b = AnalysisSession::new(Options::predicated());
+        let s = box_system();
+        assert!(!a.sys_is_empty(&s));
+        // `b` must not trust `a`'s verdict: it counts its own miss and
+        // takes the cell over.
+        assert!(!b.sys_is_empty(&s));
+        assert_eq!(s.cached_verdict(a.owner), None);
+        // `a` falls back to its memo, then owns the cell again.
+        assert!(!a.sys_is_empty(&s));
+        assert!(!a.sys_is_empty(&s));
+        let (qa, qb) = (a.stats().sys_empty, b.stats().sys_empty);
+        assert_eq!((qa.cell_hits, qa.hits, qa.misses), (1, 1, 1));
+        assert_eq!((qb.cell_hits, qb.hits, qb.misses), (0, 0, 1));
+    }
+
+    #[test]
+    fn cached_checks_still_charge_the_budget() {
+        let sess = AnalysisSession::new(Options::predicated());
+        // Steps charged until `max-steps` trips, checking either one
+        // object over and over (warm cell) or a fresh clone each time
+        // (cold cell).
+        let steps_to_trip = |warm: bool| {
+            let shared = box_system();
+            budget::install(&budget::WorkBudget::steps(5));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+                if warm {
+                    sess.sys_is_empty(&shared);
+                } else {
+                    sess.sys_is_empty(&shared.clone());
+                }
+            }));
+            let payload = run.expect_err("the budget must trip");
+            assert!(payload.downcast_ref::<budget::Exhausted>().is_some());
+            budget::take().steps
+        };
+        let cold = steps_to_trip(false);
+        assert_eq!(sess.stats().sys_empty.cell_hits, 0);
+        let warm = steps_to_trip(true);
+        assert!(sess.stats().sys_empty.cell_hits > 0);
+        assert_eq!((cold, warm), (6, 6));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Lock-striped hash tables for the analysis session.
 //!
 //! The session's interners and memo tables are shared by every worker
-//! thread; with a single `Mutex<HashMap>` per table, the hot
-//! `sys_empty` path (90%+ of all lattice queries) serializes on one
+//! thread; with a single `Mutex<HashMap>` per table, the `sys_empty`
+//! table (about half of all memo lookups, even with most emptiness
+//! checks answered from per-object verdict cells) serializes on one
 //! lock and `--jobs 2` can be *slower* than `--jobs 1`. Each table is
 //! therefore split into [`SHARDS`] independently locked shards selected
 //! by key hash, with per-shard hit/miss atomics that are summed at

@@ -1,8 +1,8 @@
 //! The dense fast tier: exact box summaries for the emptiness-dominated
 //! hot path.
 //!
-//! Benchmarks show `sys_empty` is 90–97% of all memoized lattice ops on
-//! every corpus program, yet each miss walks the general Fourier–Motzkin
+//! Emptiness checks are 83–98% of all lattice queries on every corpus
+//! program, and each memo miss walks the general Fourier–Motzkin
 //! cascade. Most array sections, though, are *box-shaped*: every
 //! constraint bounds a single variable (possibly through one stride
 //! witness), so per-variable interval arithmetic decides emptiness,
